@@ -17,9 +17,9 @@ from repro.baselines.lorenzo import lorenzo_prequantize
 from repro.common.arrayutils import validate_field
 from repro.common.bitpack import (pack_uint, unpack_uint, zigzag_decode,
                                   zigzag_encode, bit_length)
-from repro.common.container import build_container, parse_container
+from repro.common.container import build_container
 from repro.common.errors import CodecError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import open_blob, wrap_lossless
 from repro.core.pipeline import resolve_eb
 from repro.registry import register
 
@@ -78,8 +78,8 @@ class CuSZp:
         return wrap_lossless(inner, self.lossless)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        inner = unwrap_lossless(blob)
-        codec, meta, segments = parse_container(inner)
+        opened = open_blob(blob)
+        codec, meta, segments = opened.codec, opened.meta, opened.segments
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
         shape = tuple(meta["shape"])

@@ -20,9 +20,9 @@ import numpy as np
 from repro.baselines.cuzfp.transform import (fwd_transform, inv_transform,
                                              sequency_order)
 from repro.common.arrayutils import validate_field
-from repro.common.container import build_container, parse_container
+from repro.common.container import build_container
 from repro.common.errors import CodecError, ConfigError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import open_blob, wrap_lossless
 from repro.common.scan import concat_ranges
 from repro.registry import register
 
@@ -241,8 +241,8 @@ class CuZFP:
         return wrap_lossless(inner, self.lossless)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        inner = unwrap_lossless(blob)
-        codec, meta, segments = parse_container(inner)
+        opened = open_blob(blob)
+        codec, meta, segments = opened.codec, opened.meta, opened.segments
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
         shape = tuple(meta["shape"])

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.arrayutils import validate_field
-from repro.common.container import build_container, parse_container
+from repro.common.container import build_container
 from repro.common.errors import CodecError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import open_blob, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import autotune
 from repro.core.ginterp.engine import (InterpSpec, interp_compress,
@@ -104,8 +104,8 @@ class InterpCPUBase:
         return wrap_lossless(inner, self.lossless)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        inner = unwrap_lossless(blob)
-        codec, meta, segments = parse_container(inner)
+        opened = open_blob(blob)
+        codec, meta, segments = opened.codec, opened.meta, opened.segments
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
         shape = tuple(meta["shape"])

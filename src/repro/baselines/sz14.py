@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.arrayutils import validate_field
-from repro.common.container import build_container, parse_container
+from repro.common.container import build_container
 from repro.common.errors import CodecError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import open_blob, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.pipeline import resolve_eb
 from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
@@ -117,8 +117,9 @@ class SZ14:
             else:
                 pass_codes = codes[cursor:cursor + flat.size]
                 cursor += flat.size
-                recon, out_cursor = quantizer.dequantize(
-                    pass_codes, pred, abs_eb, outliers, out_cursor)
+                recon = np.empty(flat.size, dtype=np.float64)
+                out_cursor = quantizer.reconstruct_into(
+                    pass_codes, pred, abs_eb, outliers, out_cursor, recon)
                 work_flat[flat] = recon
         if compressing:
             return (np.concatenate(out_codes),
@@ -152,8 +153,8 @@ class SZ14:
         return wrap_lossless(inner, self.lossless)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        inner = unwrap_lossless(blob)
-        codec, meta, segments = parse_container(inner)
+        opened = open_blob(blob)
+        codec, meta, segments = opened.codec, opened.meta, opened.segments
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
         shape = tuple(meta["shape"])

@@ -79,6 +79,13 @@ def build_container(codec: str, meta: dict[str, Any],
             + struct.pack("<I", zlib.crc32(body)) + body)
 
 
+def _utf8(raw: memoryview, what: str) -> str:
+    try:
+        return bytes(raw).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ContainerError(f"{what} is not valid UTF-8")
+
+
 def parse_container(blob: bytes) -> tuple[str, dict[str, Any],
                                           dict[str, bytes]]:
     """Inverse of :func:`build_container`.
@@ -106,7 +113,7 @@ def parse_container(blob: bytes) -> tuple[str, dict[str, Any],
     if zlib.crc32(view[pos:]) != crc:
         raise ContainerError("container checksum mismatch (corrupt blob)")
     (clen,) = struct.unpack("<B", take(1))
-    codec = bytes(take(clen)).decode("utf-8")
+    codec = _utf8(take(clen), "codec name")
     (mlen,) = struct.unpack("<I", take(4))
     try:
         meta = json.loads(bytes(take(mlen)).decode("utf-8"))
@@ -116,7 +123,7 @@ def parse_container(blob: bytes) -> tuple[str, dict[str, Any],
     table: list[tuple[str, int]] = []
     for _ in range(nseg):
         (nlen,) = struct.unpack("<B", take(1))
-        name = bytes(take(nlen)).decode("utf-8")
+        name = _utf8(take(nlen), "segment name")
         (slen,) = struct.unpack("<Q", take(8))
         table.append((name, slen))
     segments: dict[str, bytes] = {}

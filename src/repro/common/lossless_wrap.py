@@ -8,18 +8,25 @@ wrapped the container, so any blob remains self-describing.
 Frame layout: ``b"RPW1" | u8 codec-name length | codec name | payload``.
 A frame with codec ``none`` keeps the payload verbatim, so the wrap is
 uniform across pipeline variants.
+
+:func:`open_blob` undoes the frame *and* parses the inner container once;
+:func:`repro.decompress` routes the result to the codec, which decodes it
+without unwrapping or parsing again.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
+from typing import Any
 
 from repro import telemetry
 from repro.common.container import parse_container
 from repro.common.errors import ContainerError
 from repro.lossless import get_lossless
 
-__all__ = ["wrap_lossless", "unwrap_lossless", "peek_codec"]
+__all__ = ["wrap_lossless", "unwrap_lossless", "frame_codec", "peek_codec",
+           "open_blob", "OpenedBlob"]
 
 _MAGIC = b"RPW1"
 
@@ -48,24 +55,59 @@ def wrap_lossless(container: bytes, lossless: str) -> bytes:
     return blob
 
 
-def unwrap_lossless(blob: bytes) -> bytes:
-    """Undo :func:`wrap_lossless`, returning the inner container bytes."""
+def frame_codec(blob: bytes) -> str:
+    """The lossless codec name recorded in a wrap frame's header."""
     if len(blob) < 5 or blob[:4] != _MAGIC:
         raise ContainerError("missing lossless wrap frame")
     nlen = blob[4]
     if len(blob) < 5 + nlen:
         raise ContainerError("truncated lossless wrap frame")
-    name = blob[5:5 + nlen].decode("utf-8")
+    try:
+        return bytes(blob[5:5 + nlen]).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ContainerError("lossless codec name is not valid UTF-8")
+
+
+def unwrap_lossless(blob: bytes) -> bytes:
+    """Undo :func:`wrap_lossless`, returning the inner container bytes."""
+    name = frame_codec(blob)
     codec = _codec_for(name)
     with telemetry.span("lossless.unwrap", codec=name,
                         bytes_in=len(blob)) as sp:
-        inner = codec.decompress_bytes(blob[5 + nlen:])
+        inner = codec.decompress_bytes(blob[5 + blob[4]:])
         sp.set(bytes_out=len(inner))
     return inner
 
 
-def peek_codec(blob: bytes) -> str:
-    """Read the inner container's codec name without full decode."""
+@dataclass(frozen=True)
+class OpenedBlob:
+    """A framed blob after the lossless pass and the container parse.
+
+    Every registered codec's ``decompress`` accepts one in place of the
+    raw bytes, so a router that had to open the blob to learn the codec
+    name (:func:`repro.registry.decompress_any`) hands over the work
+    instead of making the codec redo it.
+    """
+
+    codec: str
+    meta: dict[str, Any]
+    segments: dict[str, bytes]
+    lossless: str       # the outer frame's lossless codec name
+    nbytes: int         # length of the framed blob
+
+
+def open_blob(blob) -> OpenedBlob:
+    """Unwrap the lossless frame and parse the container, once.
+
+    An :class:`OpenedBlob` passes through unchanged.
+    """
+    if isinstance(blob, OpenedBlob):
+        return blob
     inner = unwrap_lossless(blob)
-    codec, _meta, _segs = parse_container(inner)
-    return codec
+    codec, meta, segments = parse_container(inner)
+    return OpenedBlob(codec, meta, segments, frame_codec(blob), len(blob))
+
+
+def peek_codec(blob: bytes) -> str:
+    """Read the inner container's codec name."""
+    return open_blob(blob).codec

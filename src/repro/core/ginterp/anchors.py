@@ -33,12 +33,13 @@ def extract_anchors(padded: np.ndarray, stride: int,
 
 def apply_anchors(work: np.ndarray, anchors: np.ndarray,
                   stride: int) -> None:
-    """Seed the float64 working array with the stored float32 anchors.
+    """Seed the working array (in its lane dtype) with the stored anchors.
 
     Used identically by compressor and decompressor so both sides run the
-    interpolation from bit-identical anchor values.
+    interpolation from bit-identical anchor values. Anchors are stored in
+    the output value dtype, which the lanes carry exactly.
     """
-    work[_anchor_slices(work.ndim, stride)] = anchors.astype(np.float64)
+    work[_anchor_slices(work.ndim, stride)] = anchors
 
 
 def anchor_count(padded_shape: tuple[int, ...], stride: int) -> int:

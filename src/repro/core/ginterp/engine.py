@@ -12,24 +12,32 @@ The traversal is a flat list of *passes* — (level stride, axis) pairs — in
 which every target is predicted only from already-reconstructed samples, so
 each pass is a single set of vectorized gathers (the NumPy analogue of one
 fully parallel GPU kernel launch). Compression and decompression run the
-identical pass plan and identical float64 arithmetic; the only difference is
+identical pass plan and identical arithmetic; the only difference is
 whether quant-codes are produced or consumed, which guarantees bit-exact
 replay.
+
+The arithmetic runs in the quantizer's **lane dtype**
+(:attr:`~repro.common.quantizer.LinearQuantizer.lane_dtype`): the work
+array, the predictions, the staged neighbor copies and the quantize /
+reconstruct lanes all live in it. The cuSZ-i pipeline uses float32 lanes
+for float32 fields, as the paper's single-precision kernels do; float64
+fields, the CPU baselines and archives written before the lanes were
+recorded run in float64.
 
 By default both traversals execute through a **compiled pass plan**
 (:mod:`repro.core.ginterp.plans`): the per-pass geometry — target indices,
 spline classification, neighbor addressing — is precomputed once per
-``(shape, geometry)`` and LRU-cached, and the interior majority of every
-pass is predicted through fused strided-view kernels instead of index
-gathers. The compiled path is bit-identical to the reference path here
-(the equivalence suite asserts it); pass ``compiled=False`` to force the
-uncompiled reference traversal.
+``(shape, geometry)`` and LRU-cached, every pass is predicted by dense
+multiply-adds over a staged copy of its neighbor lattice instead of index
+gathers, and each pass predicts and quantizes (or predicts and
+reconstructs) in one kernel. The uncompiled reference traversal (``compiled=False``) is the
+test oracle: the compiled path is bit-identical to it in either lane
+dtype (the equivalence suites assert it).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,9 +183,9 @@ class InterpResult:
     """Everything the pipeline needs after a compression traversal."""
 
     codes: np.ndarray            # uint32 quant-codes in pass order
-    outliers: np.ndarray         # float32 compacted outlier values
-    anchors: np.ndarray          # float32 anchor grid
-    reconstructed: np.ndarray    # float64, what the decompressor will see
+    outliers: np.ndarray         # compacted outlier values (value dtype)
+    anchors: np.ndarray          # anchor grid (value dtype)
+    reconstructed: np.ndarray    # lane dtype, what the decompressor sees
     pass_sizes: list[int] = field(default_factory=list)
 
 
@@ -232,7 +240,7 @@ def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
     t = axes_idx[p.axis]
     if t.size == 0 or any(a.size == 0 for a in axes_idx):
         empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64)
+        return empty, np.empty(0, dtype=work_flat.dtype)
     flat = _flat_block(axes_idx, shape)
     block_shape = flat.shape
     flat = flat.ravel()
@@ -249,8 +257,8 @@ def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
     for ax in range(p.axis + 1, ndim):
         ax_stride *= shape[ax]
     size = work_flat.size
-    pred = np.zeros(flat.size, dtype=np.float64)
-    weights = SPLINE_WEIGHTS
+    pred = np.zeros(flat.size, dtype=work_flat.dtype)
+    weights = SPLINE_WEIGHTS.astype(work_flat.dtype)
     for j, k in enumerate(NEIGHBOR_OFFSETS):
         w = weights[cls, j]
         idx = flat + (k * p.stride * ax_stride)
@@ -293,110 +301,105 @@ def _check_finite(data: np.ndarray) -> None:
 
 def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                     quantizer: LinearQuantizer | None = None, *,
-                    plan=None, compiled: bool = True,
-                    fused: bool | None = None) -> InterpResult:
+                    plan=None, compiled: bool = True) -> InterpResult:
     """Run the full interpolation-compression traversal.
 
     ``data`` is the (possibly padded) float field; returns quant-codes in
-    pass order, compacted outliers, the float32 anchor grid, and the exact
-    reconstruction the decompressor will reproduce.
+    pass order, compacted outliers, the anchor grid (in the quantizer's
+    value dtype), and the exact reconstruction the decompressor will
+    reproduce, in the quantizer's lane dtype.
 
     ``plan``/``compiled`` select the execution path (see
-    :func:`_resolve_plan`); all paths produce bit-identical streams.
-    ``fused`` selects the fused predict–quantize emission on the compiled
-    path (codes written straight into the preallocated stream inside the
-    pass, no float residual intermediates); default on, overridable via
-    ``REPRO_FUSED_QUANTIZE=0``. Ignored on the uncompiled reference path.
+    :func:`_resolve_plan`); both produce bit-identical streams. On the
+    compiled path every pass is one fused predict–quantize kernel: codes
+    land straight in the preallocated stream, with no float residual
+    intermediates.
     """
     spec = spec.resolved(data.ndim)
     _check_finite(data)
     quantizer = quantizer or LinearQuantizer()
+    lane = quantizer.lane_dtype
     plan = _resolve_plan(data.shape, spec, plan, compiled)
-    if fused is None:
-        fused = os.environ.get("REPRO_FUSED_QUANTIZE", "1") != "0"
-    fused = fused and plan is not None
-    work = data.astype(np.float64, copy=True)
+    work = data.astype(lane, copy=True)
     anchors = extract_anchors(work, spec.anchor_stride,
                               quantizer.value_dtype)
     apply_anchors(work, anchors, spec.anchor_stride)
-    work_flat = work.ravel()
 
     ebs = level_error_bounds(eb, spec)
-    codes_parts: list[np.ndarray] = []
     outlier_parts: list[np.ndarray] = []
     sizes: list[int] = []
-    orig_flat = data.ravel()
-    cursor = 0
-    if plan is not None:
-        scr_pred, scr_mul, scr_ev = plan.workspace()
-    if fused:
-        codes_all = np.empty(plan.n_targets, dtype=np.uint32)
-        q_buf, r_buf = plan.quant_workspace()
-    for step in (plan.passes if plan is not None
-                 else pass_plan(data.ndim, spec)):
-        p = step.desc if plan is not None else step
-        # one span per level/axis pass, mirroring one GPU kernel launch
-        with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
-                            stride=p.stride) as psp:
-            if fused:
-                n = step.n_targets
-                sizes.append(int(n))
-                psp.set(targets=int(n), fused=True)
+    with _lane_errstate():
+        codes = _compress_passes(work, data, spec, quantizer, plan, ebs,
+                                 outlier_parts, sizes)
+    outliers = (np.concatenate(outlier_parts) if outlier_parts
+                else np.empty(0, quantizer.value_dtype))
+    return InterpResult(codes=codes, outliers=outliers, anchors=anchors,
+                        reconstructed=work, pass_sizes=sizes)
+
+
+def _lane_errstate():
+    """Silence lane overflow: near the dtype's max a spline sum can
+    overflow to ±inf (and ``inf - inf`` give NaN); the quantizer turns
+    every such lane into an outlier, so the warning carries no news."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _compress_passes(work, data, spec, quantizer, plan, ebs,
+                     outlier_parts, sizes) -> np.ndarray:
+    """Run every compression pass; returns the quant-code stream."""
+    lane = quantizer.lane_dtype
+    if plan is None:
+        codes = _reference_compress(work.ravel(), data, spec, quantizer,
+                                    ebs, outlier_parts, sizes)
+    else:
+        codes = np.empty(plan.n_targets, dtype=np.uint32)
+        scratch = plan.workspace(lane)
+        q_buf, r_buf = plan.quant_workspace(lane)
+        cursor = 0
+        for step in plan.passes:
+            p = step.desc
+            n = step.n_targets
+            sizes.append(int(n))
+            # one span per level/axis pass, mirroring one GPU kernel
+            # launch; predict, quantize and reconstruct run in it fused
+            with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
+                                stride=p.stride, targets=int(n)):
                 if n == 0:
                     continue
-                # fused emission: predict, quantize, and reconstruct in
-                # one pass-local kernel; codes land in the preallocated
-                # stream slice, so the engine-level quantize stage is gone
                 with telemetry.span("ginterp.pq", level=p.level):
                     outlier_parts.append(step.predict_quantize(
-                        work, work_flat, data, quantizer, ebs[p.level],
-                        codes_all[cursor:cursor + n], scr_pred, scr_mul,
-                        scr_ev, q_buf, r_buf))
+                        work, data, quantizer, ebs[p.level],
+                        codes[cursor:cursor + n], *scratch, q_buf, r_buf))
                 cursor += n
                 telemetry.observe("ginterp.pass_targets", n)
-                continue
-            with telemetry.span("ginterp.gather",
-                                compiled=plan is not None):
-                if plan is not None:
-                    n = step.n_targets
-                    pred = step.predict(work, work_flat, scr_pred,
-                                         scr_mul, scr_ev)
-                else:
-                    flat, pred = _pass_predict(work_flat, data.shape,
-                                               spec, p)
-                    n = flat.size
+        if cursor != codes.size:  # pragma: no cover - plan invariant
+            raise ConfigError("fused traversal did not fill the code "
+                              "stream")
+    return codes
+
+
+def _reference_compress(work_flat, data, spec, quantizer, ebs,
+                        outlier_parts, sizes) -> np.ndarray:
+    """The uncompiled traversal (the oracle): flat index gathers and the
+    allocating :meth:`LinearQuantizer.quantize`, one pass at a time."""
+    orig_flat = data.ravel()
+    codes_parts: list[np.ndarray] = []
+    for p in pass_plan(data.ndim, spec):
+        with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
+                            stride=p.stride) as psp:
+            flat, pred = _pass_predict(work_flat, data.shape, spec, p)
+            n = flat.size
             sizes.append(int(n))
             psp.set(targets=int(n))
             if n == 0:
                 continue
-            with telemetry.span("ginterp.quantize", level=p.level):
-                # the target lattice reads/writes through strided views on
-                # the compiled path; both index the same raveled block
-                # order, so streams stay byte-identical
-                vals = (data[step.target_view] if plan is not None
-                        else orig_flat[flat])
-                res = quantizer.quantize(vals, pred, ebs[p.level])
-            if plan is not None:
-                work[step.target_view] = \
-                    res.reconstructed.reshape(step.block_shape)
-            else:
-                work_flat[flat] = res.reconstructed
+            res = quantizer.quantize(orig_flat[flat], pred, ebs[p.level])
+            work_flat[flat] = res.reconstructed
             codes_parts.append(res.codes)
             outlier_parts.append(res.outlier_values)
             telemetry.observe("ginterp.pass_targets", n)
-
-    if fused:
-        if cursor != codes_all.size:  # pragma: no cover - plan invariant
-            raise ConfigError("fused traversal did not fill the code "
-                              "stream")
-        codes = codes_all
-    else:
-        codes = (np.concatenate(codes_parts) if codes_parts
-                 else np.empty(0, np.uint32))
-    outliers = (np.concatenate(outlier_parts) if outlier_parts
-                else np.empty(0, np.float32))
-    return InterpResult(codes=codes, outliers=outliers, anchors=anchors,
-                        reconstructed=work, pass_sizes=sizes)
+    return (np.concatenate(codes_parts) if codes_parts
+            else np.empty(0, np.uint32))
 
 
 def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
@@ -406,41 +409,50 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                       plan=None, compiled: bool = True) -> np.ndarray:
     """Replay :func:`interp_compress` from its outputs.
 
-    Returns the float64 reconstruction, bit-identical to
-    ``InterpResult.reconstructed``. Raises
+    Returns the reconstruction in the quantizer's lane dtype,
+    bit-identical to ``InterpResult.reconstructed``. On the compiled path
+    each pass is one fused predict–reconstruct kernel writing straight
+    into the work array. Raises
     :class:`~repro.common.errors.CorruptStreamError` when the quant-code
     or outlier stream is shorter (or longer) than the traversal demands —
     truncated input must fail loudly, not decode garbage.
     """
     spec = spec.resolved(len(shape))
     quantizer = quantizer or LinearQuantizer()
+    lane = quantizer.lane_dtype
     plan = _resolve_plan(tuple(shape), spec, plan, compiled)
-    work = np.zeros(shape, dtype=np.float64)
+    work = np.zeros(shape, dtype=lane)
     apply_anchors(work, anchors.reshape(
         tuple(-(-n // spec.anchor_stride) for n in shape)),
         spec.anchor_stride)
-    work_flat = work.ravel()
 
-    ebs = level_error_bounds(eb, spec)
-    codes = np.asarray(codes)
+    with _lane_errstate():
+        _decompress_passes(work, tuple(shape), spec,
+                           level_error_bounds(eb, spec), np.asarray(codes),
+                           outliers, quantizer, plan)
+    return work
+
+
+def _decompress_passes(work, shape, spec, ebs, codes, outliers,
+                       quantizer, plan) -> None:
+    """Replay every pass into ``work``, consuming codes and outliers."""
+    lane = quantizer.lane_dtype
+    work_flat = work.ravel()
     cursor = 0
     out_cursor = 0
     if plan is not None:
-        scr_pred, scr_mul, scr_ev = plan.workspace()
+        scratch = plan.workspace(lane)
+        q_buf = np.empty(plan.max_targets, dtype=lane)  # dequantized bins
     for step in (plan.passes if plan is not None
                  else pass_plan(len(shape), spec)):
         p = step.desc if plan is not None else step
         with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
                             stride=p.stride) as psp:
-            with telemetry.span("ginterp.gather",
-                                compiled=plan is not None):
-                if plan is not None:
-                    n = step.n_targets
-                    pred = step.predict(work, work_flat, scr_pred,
-                                         scr_mul, scr_ev)
-                else:
-                    flat, pred = _pass_predict(work_flat, shape, spec, p)
-                    n = flat.size
+            if plan is not None:
+                n = step.n_targets
+            else:
+                flat, pred = _pass_predict(work_flat, shape, spec, p)
+                n = flat.size
             psp.set(targets=int(n))
             if n == 0:
                 continue
@@ -451,15 +463,18 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                     f"{codes.size - cursor} remain")
             pass_codes = codes[cursor:cursor + n]
             cursor += n
-            with telemetry.span("ginterp.dequantize", level=p.level):
-                recon, out_cursor = quantizer.dequantize(
-                    pass_codes, pred, ebs[p.level], outliers, out_cursor)
             if plan is not None:
-                work[step.target_view] = recon.reshape(step.block_shape)
+                with telemetry.span("ginterp.pr", level=p.level):
+                    out_cursor = step.predict_reconstruct(
+                        work, quantizer, ebs[p.level],
+                        pass_codes, outliers, out_cursor, *scratch, q_buf)
             else:
+                recon = np.empty(n, dtype=lane)
+                out_cursor = quantizer.reconstruct_into(
+                    pass_codes, pred, ebs[p.level], outliers, out_cursor,
+                    recon)
                 work_flat[flat] = recon
     if cursor != codes.size:
         raise CorruptStreamError(
             f"quant-code stream has {codes.size - cursor} trailing "
             f"code(s) after the final pass")
-    return work

@@ -1,4 +1,4 @@
-"""Compiled pass plans: precomputed geometry + fused slice kernels.
+"""Compiled pass plans: precomputed geometry + dense tap kernels.
 
 The GPU kernels this engine mirrors (paper §V-A/§V-D) owe their speed to a
 *fixed launch geometry*: the per-level/per-axis pass structure and the
@@ -15,31 +15,34 @@ class broadcasts, and four full-size clipped neighbor index arrays — on
   order the reference path emits, so quant-code streams stay
   byte-identical — but gathered and scattered through plain slices
   instead of int64 fancy indexing);
-* the spline-class partition along the interpolation axis;
-* **fused slice groups** — maximal runs of targets sharing one spline
-  class. Each run's neighbors sit on strided lattices
-  (``work[..., t0+k*s : ... : 2*s, ...]``), so prediction is a few
-  scalar-weight multiply-adds over array *views*: no flat index arrays,
-  no ``np.clip``, no per-neighbor gather;
-* a precompiled **gather tail** for whatever the slices do not cover
-  (class-change singletons on blocks too small to amortize a slice op):
-  clipped neighbor indices and per-target weight rows are baked into the
-  plan, so execution is four gathers and four multiply-adds.
+* the **staged even lattice**: every neighbor of every target lies on the
+  complementary even lattice along the pass axis (``t = s*(2i+1)`` and
+  odd offsets ``k`` give ``t + k*s = 2s*(i + (k+1)/2)``), so one
+  contiguous copy of it, with a zero sample padded before and two after,
+  turns the four neighbors of target ``i`` into the staged samples
+  ``i..i+3``;
+* the **tap weights**: the spline class of each target depends only on
+  its position along the pass axis, so the whole pass is four *dense*
+  multiply-adds — staged tap view times a per-position weight vector
+  broadcast over the other axes. No class runs, no index gathers, no
+  ``np.clip``.
 
 Bit-exactness is non-negotiable and holds by construction. Every target is
-computed by the same float64 accumulation the reference path runs —
-zero-init then ``pred += w_k * neighbor_k`` over
+computed by the same accumulation the reference path runs, in the work
+array's lane dtype (float32 or float64) — zero-init then
+``pred += w_k * neighbor_k`` over
 :data:`~repro.core.ginterp.splines.NEIGHBOR_OFFSETS` in order, with the
-same weight values and operands. The fused kernels *skip* zero-weight
-neighbors, which cannot change any bit of the result for finite inputs
-(the engine rejects NaN/Inf up front): an accumulator seeded at ``+0.0``
-can never become ``-0.0`` (a nonzero float64 sum has magnitude at least
-the smallest subnormal, and ``+0.0 + ±0.0 == +0.0``), so adding a
-zero-weight product ``±0.0`` is always an identity. Skipping them also
-means a fused run only ever touches *available* neighbors — the spline
-table puts nonzero weight only on in-domain samples — so the reference
-path's ``np.clip`` has nothing to do on the fused majority; the clipped
-(weight-zero) gathers survive verbatim in the gather tail.
+same lane-rounded weight values and operands. Where the reference path
+gathers a *zero-weight* neighbor (clipped, out of the window, or not yet
+reconstructed) the tap reads some other finite sample or a zero pad;
+both products are ``±0.0``, and adding ``±0.0`` is an identity on the
+accumulation: work samples are always finite (the engine rejects NaN/Inf
+input up front, and reconstructions that are not become outliers), an
+accumulator seeded at ``+0.0`` can never become ``-0.0`` (a nonzero sum
+has magnitude at least the smallest subnormal, and
+``+0.0 + ±0.0 == +0.0``), and a sum that overflowed to ``±inf`` stays
+there. For the same reason a tap whose weight is zero at every position
+is skipped outright.
 
 Plans are LRU-cached per process (:func:`get_plan`), keyed on the geometry
 ``(shape, anchor_stride, window_shape, cubic_variant, axis_order)`` —
@@ -65,35 +68,13 @@ from repro.telemetry import caches
 from repro.common.errors import ConfigError
 from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
 
-__all__ = ["FusedGroup", "CompiledPass", "PassPlan", "compile_plan",
-           "get_plan", "plan_cache_stats", "clear_plan_cache",
-           "set_plan_cache_limit"]
+__all__ = ["CompiledPass", "PassPlan", "compile_plan", "get_plan",
+           "plan_cache_stats", "clear_plan_cache", "set_plan_cache_limit"]
 
-#: a run is fused only when it covers at least this many block elements;
-#: below that the per-slice call overhead costs more than one batched
-#: gather over the (precompiled) tail
-_MIN_FUSED_ELEMENTS = 64
-
-
-@dataclass(frozen=True)
-class FusedGroup:
-    """One maximal run of same-class targets, predicted through views.
-
-    ``target_sel`` selects the run inside the block-shaped prediction
-    buffer; ``sources[j]`` selects the run targets' ``j``-th
-    *nonzero-weight* neighbor as a strided view of the work array;
-    ``weights[j]`` is that neighbor's spline weight as a scalar;
-    ``shape``/``size`` describe the run's sub-block.
-    """
-
-    target_sel: tuple[slice, ...]
-    sources: tuple[tuple[slice, ...], ...]
-    weights: tuple[float, ...]
-    shape: tuple[int, ...]
-    size: int
-    #: the same sources re-based onto the pass's staged even-lattice buffer
-    #: (unit stride along the pass axis); ``None`` when not alignable
-    staged: tuple[tuple[slice, ...], ...] | None = None
+#: staged samples padded before the even lattice: target 0's ``k = -3``
+#: neighbor is even sample -1
+_PAD_FRONT = 1
+_N_TAPS = len(NEIGHBOR_OFFSETS)
 
 
 class CompiledPass:
@@ -103,101 +84,85 @@ class CompiledPass:
     the work array — targets along the interpolation axis are
     ``stride::2*stride`` and ``0::step`` on every other axis — so the
     quantize gather and the reconstruction scatter are strided view ops,
-    not int64 fancy indexing.
+    not int64 fancy indexing. ``ev_sel`` selects the even lattice the
+    neighbors live on; it is staged into a buffer of ``ev_shape`` (the
+    block shape, with ``m + 3`` samples along the pass axis for ``m``
+    targets) at ``stage_sel``, with ``pad_sels`` zeroed. ``taps`` lists
+    ``(j, staged selector)`` for each tap with a nonzero weight anywhere;
+    ``weights`` is the ``(4, m)`` float64 weight table.
     """
 
     __slots__ = ("desc", "block_shape", "target_view", "n_targets",
-                 "groups", "ev_sel", "ev_shape", "ev_size",
-                 "b_sel", "b_gather", "b_w", "compile_s")
+                 "ev_sel", "ev_shape", "ev_size", "stage_sel", "pad_sels",
+                 "taps", "weights", "lane_weights", "compile_s")
 
-    def __init__(self, desc, block_shape, target_view, n_targets, groups,
-                 ev_sel, ev_shape, ev_size, b_sel, b_gather, b_w,
-                 compile_s):
+    def __init__(self, desc, block_shape, target_view, n_targets, ev_sel,
+                 ev_shape, stage_sel, pad_sels, taps, weights, compile_s):
         self.desc = desc
         self.block_shape = block_shape
         self.target_view = target_view
         self.n_targets = n_targets
-        self.groups = groups          # tuple[FusedGroup, ...]
-        self.ev_sel = ev_sel          # even-lattice staging selector
+        self.ev_sel = ev_sel
         self.ev_shape = ev_shape
-        self.ev_size = ev_size
-        self.b_sel = b_sel            # int64 positions within the block
-        self.b_gather = b_gather      # (4, nb) clipped work_flat indices
-        self.b_w = b_w                # (4, nb) per-target weights
+        self.ev_size = math.prod(ev_shape)
+        self.stage_sel = stage_sel
+        self.pad_sels = pad_sels
+        self.taps = taps
+        self.weights = weights
+        self.lane_weights: dict[np.dtype, tuple[np.ndarray, ...]] = {}
         self.compile_s = compile_s
 
     @property
-    def n_boundary(self) -> int:
-        return int(self.b_sel.size)
-
-    @property
-    def max_group(self) -> int:
-        return max((g.size for g in self.groups), default=0)
-
-    @property
     def nbytes(self) -> int:
-        return (self.b_sel.nbytes + self.b_gather.nbytes
-                + self.b_w.nbytes)
+        return self.weights.nbytes
 
-    def predict(self, work: np.ndarray, work_flat: np.ndarray,
+    def _weights_in(self, lane: np.dtype) -> tuple[np.ndarray, ...]:
+        """Each tap's weight vector rounded to ``lane`` and shaped to
+        broadcast along the pass axis (cached; the reference path rounds
+        :data:`SPLINE_WEIGHTS` the same way)."""
+        w = self.lane_weights.get(lane)
+        if w is None:
+            view = [1] * len(self.block_shape)
+            view[self.desc.axis] = self.block_shape[self.desc.axis]
+            w = tuple(self.weights[j].astype(lane).reshape(view)
+                      for j, _sel in self.taps)
+            for arr in w:
+                arr.setflags(write=False)
+            self.lane_weights[lane] = w
+        return w
+
+    def predict(self, work: np.ndarray,
                 pred_buf: np.ndarray | None = None,
                 mul_buf: np.ndarray | None = None,
                 ev_buf: np.ndarray | None = None) -> np.ndarray:
         """Predictions for every pass target, in flat (block) order.
 
-        Bit-identical to the reference gather path: each element runs the
-        same zero-init + float64 multiply-add accumulation over
-        :data:`NEIGHBOR_OFFSETS`, with identical operands (zero-weight
-        terms skipped — an identity on the accumulation for finite data).
+        Runs in ``work``'s dtype (the lanes). Bit-identical to the
+        reference gather path (see the module docstring).
         ``pred_buf``/``mul_buf``/``ev_buf`` are optional reusable scratch
-        buffers (see :meth:`PassPlan.workspace`); staging only *copies*
-        values, so it cannot change any bit of the accumulation.
+        buffers of the lane dtype (see :meth:`PassPlan.workspace`);
+        staging only *copies* values, so it cannot change any bit of the
+        accumulation.
         """
         n = self.n_targets
-        if pred_buf is None:
-            pred = np.zeros(n, dtype=np.float64)
-        else:
-            pred = pred_buf[:n]
-            pred.fill(0.0)
-        if self.groups:
-            staged = None
-            if self.ev_size and any(g.staged is not None
-                                    for g in self.groups):
-                # neighbors all live on the complementary even lattice;
-                # staging it once makes every neighbor read unit-stride
-                if ev_buf is None:
-                    staged = np.empty(self.ev_shape, dtype=np.float64)
-                else:
-                    staged = ev_buf[:self.ev_size].reshape(self.ev_shape)
-                np.copyto(staged, work[self.ev_sel])
-            pred_nd = pred.reshape(self.block_shape)
-            for g in self.groups:
-                sub = pred_nd[g.target_sel]
-                if mul_buf is None:
-                    buf = np.empty(g.shape, dtype=np.float64)
-                else:
-                    buf = mul_buf[:g.size].reshape(g.shape)
-                srcs = (zip(g.weights, g.staged)
-                        if staged is not None and g.staged is not None
-                        else None)
-                if srcs is not None:
-                    for w, src in srcs:
-                        np.multiply(staged[src], w, out=buf)
-                        sub += buf
-                else:
-                    for w, src in zip(g.weights, g.sources):
-                        np.multiply(work[src], w, out=buf)
-                        sub += buf
-        if self.b_sel.size:
-            pb = np.zeros(self.b_sel.size, dtype=np.float64)
-            for j in range(len(NEIGHBOR_OFFSETS)):
-                pb += self.b_w[j] * work_flat[self.b_gather[j]]
-            pred[self.b_sel] = pb
-        return pred
+        lane = work.dtype
+        pred = (np.empty(n, dtype=lane) if pred_buf is None
+                else pred_buf[:n]).reshape(self.block_shape)
+        pred.fill(0.0)
+        staged = (np.empty(self.ev_size, dtype=lane) if ev_buf is None
+                  else ev_buf[:self.ev_size]).reshape(self.ev_shape)
+        for sel in self.pad_sels:
+            staged[sel] = 0.0
+        np.copyto(staged[self.stage_sel], work[self.ev_sel])
+        buf = (np.empty(n, dtype=lane) if mul_buf is None
+               else mul_buf[:n]).reshape(self.block_shape)
+        for (_j, sel), w in zip(self.taps, self._weights_in(lane)):
+            np.multiply(staged[sel], w, out=buf)
+            pred += buf
+        return pred.reshape(-1)
 
-    def predict_quantize(self, work: np.ndarray, work_flat: np.ndarray,
-                         data: np.ndarray, quantizer, eb: float,
-                         codes_out: np.ndarray,
+    def predict_quantize(self, work: np.ndarray, data: np.ndarray,
+                         quantizer, eb: float, codes_out: np.ndarray,
                          scr_pred: np.ndarray, scr_mul: np.ndarray,
                          scr_ev: np.ndarray, q_buf: np.ndarray,
                          r_buf: np.ndarray) -> np.ndarray:
@@ -211,14 +176,34 @@ class CompiledPass:
         float residual intermediates, no per-pass code arrays.
         Bit-identical to predict-then-:meth:`LinearQuantizer.quantize`
         because :meth:`~repro.common.quantizer.LinearQuantizer\
-.quantize_into` replays the same float64 lane arithmetic.
+.quantize_into` replays the same lane arithmetic.
         """
-        pred = self.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
+        pred = self.predict(work, scr_pred, scr_mul, scr_ev)
         recon, outliers = quantizer.quantize_into(
             data[self.target_view], pred, eb, codes_out,
             q_buf=q_buf, r_buf=r_buf)
         work[self.target_view] = recon
         return outliers
+
+    def predict_reconstruct(self, work: np.ndarray, quantizer, eb: float,
+                            codes: np.ndarray, outliers: np.ndarray,
+                            outlier_cursor: int, scr_pred: np.ndarray,
+                            scr_mul: np.ndarray, scr_ev: np.ndarray,
+                            q_buf: np.ndarray) -> int:
+        """Fused predict → dequantize → reconstruct for one pass (the
+        decode mirror of :meth:`predict_quantize`).
+
+        ``codes`` is the pass's slice of the code stream; the
+        reconstruction is written straight into ``work`` through the
+        strided target view by
+        :meth:`~repro.common.quantizer.LinearQuantizer.reconstruct_into`,
+        so no per-pass reconstruction array is allocated. Returns the
+        advanced outlier cursor.
+        """
+        pred = self.predict(work, scr_pred, scr_mul, scr_ev)
+        return quantizer.reconstruct_into(
+            codes, pred, eb, outliers, outlier_cursor,
+            work[self.target_view], q_buf=q_buf)
 
 
 @dataclass(frozen=True)
@@ -235,12 +220,9 @@ class PassPlan:
         return sum(cp.n_targets for cp in self.passes)
 
     @property
-    def n_fused(self) -> int:
-        return sum(cp.n_targets - cp.n_boundary for cp in self.passes)
-
-    @property
-    def n_gather(self) -> int:
-        return sum(cp.n_boundary for cp in self.passes)
+    def n_taps(self) -> int:
+        """Dense multiply-adds per traversal (zero-weight taps skipped)."""
+        return sum(len(cp.taps) for cp in self.passes)
 
     @property
     def nbytes(self) -> int:
@@ -251,36 +233,29 @@ class PassPlan:
         return max((cp.n_targets for cp in self.passes), default=0)
 
     @property
-    def max_group(self) -> int:
-        return max((cp.max_group for cp in self.passes), default=0)
-
-    @property
     def max_staged(self) -> int:
         return max((cp.ev_size for cp in self.passes), default=0)
 
-    def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh reusable scratch buffers for :meth:`CompiledPass.predict`.
+    def workspace(self, lane: np.dtype = np.float64
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh reusable scratch buffers for :meth:`CompiledPass.predict`
+        in the ``lane`` dtype: prediction, tap product, staged lattice.
 
         One triple per traversal keeps every pass allocation-free; callers
         must not hold a pass's prediction past the next ``predict`` call.
         """
-        return (np.empty(self.max_targets, dtype=np.float64),
-                np.empty(self.max_group, dtype=np.float64),
-                np.empty(self.max_staged, dtype=np.float64))
+        return (np.empty(self.max_targets, dtype=lane),
+                np.empty(self.max_targets, dtype=lane),
+                np.empty(self.max_staged, dtype=lane))
 
-    def quant_workspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scratch pair for :meth:`CompiledPass.predict_quantize`:
-        the float64 rounding and reconstruction buffers, sized for the
-        widest pass so the fused traversal allocates nothing per pass."""
-        return (np.empty(self.max_targets, dtype=np.float64),
-                np.empty(self.max_targets, dtype=np.float64))
-
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_GATHER = np.empty((len(NEIGHBOR_OFFSETS), 0), dtype=np.int64)
-_EMPTY_W = np.empty((len(NEIGHBOR_OFFSETS), 0), dtype=np.float64)
-for _a in (_EMPTY_I64, _EMPTY_GATHER, _EMPTY_W):
-    _a.setflags(write=False)
+    def quant_workspace(self, lane: np.dtype = np.float64
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Scratch pair for :meth:`CompiledPass.predict_quantize` in the
+        ``lane`` dtype: the rounding and reconstruction buffers, sized for
+        the widest pass so the fused traversal allocates nothing per
+        pass."""
+        return (np.empty(self.max_targets, dtype=lane),
+                np.empty(self.max_targets, dtype=lane))
 
 
 def _lattice_slice(idx: np.ndarray) -> slice:
@@ -293,141 +268,62 @@ def _lattice_slice(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
-def _class_runs(cls1d: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of constant class as ``[start, stop)`` pairs."""
-    change = np.flatnonzero(np.diff(cls1d)) + 1
-    bounds = [0, *change.tolist(), cls1d.size]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _compile_pass(shape: tuple[int, ...], spec, p) -> CompiledPass:
-    """Precompute one pass's targets, class partition, and kernels."""
-    from repro.core.ginterp.engine import (_axis_indices, _class_1d,
-                                           _flat_block)
+    """Precompute one pass's target lattice, staging and tap weights."""
+    from repro.core.ginterp.engine import _axis_indices, _class_1d
     t0 = time.perf_counter()
     ndim = len(shape)
+    ax = p.axis
     axes_idx = _axis_indices(shape, p)
-    t = axes_idx[p.axis]
-    if t.size == 0 or any(a.size == 0 for a in axes_idx):
+    block_shape = tuple(int(a.size) for a in axes_idx)
+    n_targets = math.prod(block_shape)
+    if n_targets == 0:
         empty_view = tuple(slice(0, 0, 1) for _ in range(ndim))
-        return CompiledPass(p, (0,) * ndim, empty_view, 0, (), empty_view,
-                            (0,) * ndim, 0, _EMPTY_I64, _EMPTY_GATHER,
-                            _EMPTY_W, time.perf_counter() - t0)
-    flat_nd = _flat_block(axes_idx, shape)
-    block_shape = flat_nd.shape
-    flat = np.ascontiguousarray(flat_nd.ravel())
+        return CompiledPass(p, block_shape, empty_view, 0, empty_view,
+                            block_shape, empty_view, (), (),
+                            np.empty((_N_TAPS, 0)),
+                            time.perf_counter() - t0)
     # every pass's target set is itself a regular lattice, so the quantize
     # gather / reconstruction scatter compile to strided views
     target_view = tuple(_lattice_slice(idx) for idx in axes_idx)
 
-    window = spec.window_shape[p.axis] if spec.window_shape else None
-    cubic = spec.cubic_variant[p.axis]
-    cls1d = _class_1d(t, shape[p.axis], p.stride, window, cubic)
+    t = axes_idx[ax]
+    n = shape[ax]
+    s = p.stride
+    window = spec.window_shape[ax] if spec.window_shape else None
+    cls1d = _class_1d(t, n, s, window, spec.cubic_variant[ax])
+    weights = np.ascontiguousarray(SPLINE_WEIGHTS[cls1d].T)   # (4, m)
+    weights.setflags(write=False)
 
     m = t.size
-    n = shape[p.axis]
-    block_other = flat.size // m
-    covered = np.zeros(m, dtype=bool)
-    s = p.stride
-    # every neighbor of every target lies on the complementary even
-    # lattice (t = s*(2i+1), offsets odd => t + k*s = 2s*j), so one staged
-    # copy of that lattice turns all neighbor reads unit-stride
-    ev_sel = []
-    for ax in range(ndim):
-        if ax == p.axis:
-            ev_sel.append(slice(0, n, 2 * s))
-        else:
-            ev_sel.append(slice(0, shape[ax], p.steps[ax]))
-    ev_sel = tuple(ev_sel)
-    ev_shape = list(block_shape)
-    ev_shape[p.axis] = len(range(0, n, 2 * s))
-    ev_shape = tuple(ev_shape)
-    groups = []
-    n_fused = 0
-    for a, b in _class_runs(cls1d):
-        if (b - a) * block_other < _MIN_FUSED_ELEMENTS:
-            continue            # too small to amortize a slice op
-        cls = int(cls1d[a])
-        weights = []
-        sources = []
-        staged_srcs = []
-        in_domain = True
-        for j, k in enumerate(NEIGHBOR_OFFSETS):
-            w = float(SPLINE_WEIGHTS[cls, j])
-            if w == 0.0:
-                continue        # identity on the accumulation; skip
-            start = int(t[a]) + k * s
-            stop = int(t[b - 1]) + k * s + 1
-            if start < 0 or stop > n:
-                # nonzero weight always sits on an available (in-domain)
-                # neighbor; this guard only ever fires on configurations
-                # the classifier promises not to produce
-                in_domain = False
-                break
-            src = []
-            for ax in range(ndim):
-                if ax == p.axis:
-                    src.append(slice(start, stop, 2 * s))
-                else:
-                    src.append(slice(0, shape[ax], p.steps[ax]))
-            weights.append(w)
-            sources.append(tuple(src))
-            if staged_srcs is not None and start % (2 * s) == 0:
-                st = list(src)
-                st[p.axis] = slice(start // (2 * s),
-                                   start // (2 * s) + (b - a), 1)
-                st[p.axis + 1:] = [slice(None)] * (ndim - p.axis - 1)
-                for ax in range(p.axis):
-                    st[ax] = slice(None)
-                staged_srcs.append(tuple(st))
-            else:
-                staged_srcs = None
-        if not in_domain:
-            continue
-        covered[a:b] = True
-        n_fused += b - a
-        tsel = [slice(None)] * ndim
-        tsel[p.axis] = slice(a, b)
-        run_shape = list(block_shape)
-        run_shape[p.axis] = b - a
-        groups.append(FusedGroup(tuple(tsel), tuple(sources),
-                                 tuple(weights), tuple(run_shape),
-                                 math.prod(run_shape),
-                                 tuple(staged_srcs)
-                                 if staged_srcs is not None else None))
+    m_ev = len(range(0, n, 2 * s))
+    ev_sel = tuple(slice(0, n, 2 * s) if a == ax
+                   else slice(0, shape[a], p.steps[a]) for a in range(ndim))
 
-    b_axis = np.flatnonzero(~covered)
-    if b_axis.size:
-        sel_nd = np.take(np.arange(flat.size, dtype=np.int64)
-                         .reshape(block_shape), b_axis, axis=p.axis)
-        b_sel = np.ascontiguousarray(sel_nd.ravel())
-        view = [1] * ndim
-        view[p.axis] = b_axis.size
-        cls_b = np.broadcast_to(cls1d[b_axis].reshape(view),
-                                sel_nd.shape).ravel()
-        b_w = np.ascontiguousarray(SPLINE_WEIGHTS[cls_b].T)
-        ax_stride = 1
-        for ax in range(p.axis + 1, ndim):
-            ax_stride *= shape[ax]
-        size = math.prod(shape)
-        base = flat[b_sel]
-        b_gather = np.empty((len(NEIGHBOR_OFFSETS), b_sel.size),
-                            dtype=np.int64)
-        for j, k in enumerate(NEIGHBOR_OFFSETS):
-            idx = base + (k * s * ax_stride)
-            # identical clip semantics to the reference path: zero-weight
-            # out-of-domain neighbors gather the same (ignored) operand
-            np.clip(idx, 0, size - 1, out=idx)
-            b_gather[j] = idx
-        for arr in (b_sel, b_gather, b_w):
-            arr.setflags(write=False)
-    else:
-        b_sel, b_gather, b_w = _EMPTY_I64, _EMPTY_GATHER, _EMPTY_W
-    has_staged = any(g.staged is not None for g in groups)
-    return CompiledPass(p, block_shape, target_view, int(flat.size),
-                        tuple(groups), ev_sel, ev_shape,
-                        math.prod(ev_shape) if has_staged else 0,
-                        b_sel, b_gather, b_w, time.perf_counter() - t0)
+    def along(sl: slice) -> tuple[slice, ...]:
+        return tuple(sl if a == ax else slice(None) for a in range(ndim))
+
+    # target i's neighbor at offset k sits on even sample i + (k+1)/2,
+    # staged at _PAD_FRONT + i + (k+1)/2; a nonzero weight must always
+    # sit on a real (in-domain) sample, never on a pad
+    first = [_PAD_FRONT + (k + 1) // 2 for k in NEIGHBOR_OFFSETS]
+    staged_len = first[-1] + m
+    ev_shape = tuple(staged_len if a == ax else block_shape[a]
+                     for a in range(ndim))
+    stage_sel = along(slice(_PAD_FRONT, _PAD_FRONT + m_ev))
+    pad_sels = (along(slice(0, _PAD_FRONT)),
+                along(slice(_PAD_FRONT + m_ev, staged_len)))
+    taps = []
+    for j, lo in enumerate(first):
+        ev = np.arange(m) + lo - _PAD_FRONT
+        if np.any(weights[j][(ev < 0) | (ev >= m_ev)] != 0.0):
+            raise ConfigError(  # pragma: no cover - classifier invariant
+                "spline weight on an out-of-domain neighbor")
+        if np.any(weights[j] != 0.0):
+            taps.append((j, along(slice(lo, lo + m))))
+    return CompiledPass(p, block_shape, target_view, n_targets, ev_sel,
+                        ev_shape, stage_sel, pad_sels, tuple(taps), weights,
+                        time.perf_counter() - t0)
 
 
 def _plan_key(shape: tuple[int, ...], spec) -> tuple:
@@ -449,8 +345,8 @@ def compile_plan(shape: tuple[int, ...], spec) -> PassPlan:
         plan = PassPlan(shape=shape, key=_plan_key(shape, spec),
                         passes=passes,
                         compile_s=time.perf_counter() - t0)
-        sp.set(n_passes=len(passes), n_fused=plan.n_fused,
-               n_gather=plan.n_gather, plan_nbytes=plan.nbytes)
+        sp.set(n_passes=len(passes), n_taps=plan.n_taps,
+               plan_nbytes=plan.nbytes)
     return plan
 
 

@@ -22,7 +22,8 @@ from repro.common.arrayutils import (crop_to_shape, pad_to_grid,
                                      validate_field, value_range)
 from repro.common.container import build_container, parse_container
 from repro.common.errors import CodecError, ConfigError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import (OpenedBlob, frame_codec,
+                                        unwrap_lossless, wrap_lossless)
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
@@ -42,6 +43,49 @@ DEFAULT_ANCHOR_STRIDE = {1: 512, 2: 16, 3: 8}
 #: shared thread-block windows: 4 basic blocks fused along the fastest axis
 #: (Fig. 2's 33x9x9, anchor-inclusive extents)
 DEFAULT_WINDOW = {1: (2049,), 2: (17, 65), 3: (9, 9, 33)}
+
+#: container meta key giving the bit width of a float32-lane archive's
+#: G-Interp lanes (``"lanes":32``); archives without it (float64 fields,
+#: and every archive written before lanes were recorded) replay in float64
+LANES_KEY = "lanes"
+_LANE_BITS = {32: np.dtype(np.float32)}
+
+
+def _lane_dtype_for(dtype: np.dtype, abs_eb: float) -> np.dtype:
+    """The G-Interp lane dtype for a field: its own precision, as on the
+    GPU. float32 lanes need the bin width ``2*abs_eb`` to be a normal
+    float32 (it is a lane operand); otherwise the field runs in float64."""
+    if np.dtype(dtype) == np.float32:
+        f32 = np.finfo(np.float32)
+        if float(f32.tiny) <= 2.0 * abs_eb <= float(f32.max):
+            return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
+def _lanes_from_meta(meta: dict, dtype: np.dtype) -> np.dtype:
+    """Decode the lane dtype a blob was written with (float64 if absent)."""
+    if LANES_KEY not in meta:
+        return np.dtype(np.float64)
+    code = meta[LANES_KEY]
+    lane = (_LANE_BITS.get(code) if type(code) is int  # not bool/float
+            else None)
+    if lane is None or lane.itemsize < dtype.itemsize:
+        raise CodecError(f"unsupported {LANES_KEY!r} value {code!r} for "
+                         f"{dtype} values")
+    return lane
+
+
+def _segment(segments: dict[str, bytes], name: str,
+             nbytes: int | None = None) -> bytes:
+    """A container segment, checked against the size the header implies
+    (a crafted blob can carry an honest CRC over inconsistent parts)."""
+    seg = segments.get(name)
+    if seg is None:
+        raise CodecError(f"missing {name!r} segment")
+    if nbytes is not None and len(seg) != nbytes:
+        raise CodecError(f"{name} segment size mismatch: {len(seg)} bytes, "
+                         f"header implies {nbytes}")
+    return seg
 
 
 def resolve_eb(data: np.ndarray, eb: float, mode: str) -> float:
@@ -73,6 +117,8 @@ class CompressionStats:
     segment_nbytes: dict[str, int] = field(default_factory=dict)
     inner_nbytes: int = 0          # container size before the lossless pass
     n_outliers: int = 0
+    #: share of codes that are not the zero-residual code; computed only
+    #: by :meth:`CuSZi.compress_detailed` (a full pass over the codes)
     nonzero_code_fraction: float = 0.0
     abs_eb: float = 0.0
     tuning: dict = field(default_factory=dict)
@@ -208,17 +254,21 @@ class CuSZi:
 
     def compress(self, data: np.ndarray) -> bytes:
         """Compress ``data`` into a self-describing blob."""
-        blob, _stats = self.compress_detailed(data)
+        blob, _stats = self._compress(data, detailed=False)
         return blob
 
     def compress_detailed(self, data: np.ndarray
                           ) -> tuple[bytes, CompressionStats]:
         """Compress and report byte-level accounting."""
+        return self._compress(data, detailed=True)
+
+    def _compress(self, data: np.ndarray, detailed: bool
+                  ) -> tuple[bytes, CompressionStats]:
         with recorder.capture("compress", codec=self.name) as cap, \
                 telemetry.span("compress", codec=self.name) as root:
-            return self._compress_traced(data, root, cap)
+            return self._compress_traced(data, root, cap, detailed)
 
-    def _compress_traced(self, data: np.ndarray, root, cap
+    def _compress_traced(self, data: np.ndarray, root, cap, detailed: bool
                          ) -> tuple[bytes, CompressionStats]:
         if cap.run_id:
             # the span trace and the ledger record describe the same run:
@@ -227,7 +277,9 @@ class CuSZi:
             root.set(trace_id=cap.trace_id, run_id=cap.run_id)
         data = validate_field(data)
         abs_eb = resolve_eb(data, self.eb, self.mode)
-        quantizer = LinearQuantizer(self.radius, value_dtype=data.dtype)
+        lanes = _lane_dtype_for(data.dtype, abs_eb)
+        quantizer = LinearQuantizer(self.radius, value_dtype=data.dtype,
+                                    lane_dtype=lanes)
 
         stride, _window = self._geometry(data.ndim)
         padded = pad_to_grid(data, stride) if self.pad else data
@@ -247,9 +299,8 @@ class CuSZi:
                    n_passes=len(result.pass_sizes))
         with telemetry.span("quantize") as sp, cap.stage("quantize"):
             # quantization proper is fused into the predict traversal
-            # (as on the GPU — see the per-pass ginterp.pq child spans,
-            # or ginterp.quantize when REPRO_FUSED_QUANTIZE=0); this
-            # sibling accounts for its side channel, the
+            # (as on the GPU — see the per-pass ginterp.pq child spans);
+            # this sibling accounts for its side channel, the
             # stream-compacted outliers, and the anchor serialization
             outlier_seg = result.outliers.tobytes()
             anchor_seg = result.anchors.tobytes()
@@ -289,6 +340,8 @@ class CuSZi:
             "n_outliers": int(result.outliers.size),
             "spec": spec.to_meta(),
         }
+        if lanes != np.float64:
+            meta[LANES_KEY] = 8 * lanes.itemsize
         with telemetry.span("container") as sp, cap.stage("container"):
             inner = build_container(self.name, meta, segments)
             sp.set(bytes_out=len(inner))
@@ -334,50 +387,67 @@ class CuSZi:
             inner_nbytes=len(inner),
             n_outliers=int(result.outliers.size),
             nonzero_code_fraction=float(
-                (result.codes != self.radius).mean()) if result.codes.size
-            else 0.0,
+                (result.codes != self.radius).mean())
+            if detailed and result.codes.size else 0.0,
             abs_eb=abs_eb,
             tuning=tuning,
         )
         return blob, stats
 
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Reconstruct the field from a cuSZ-i blob."""
+    def decompress(self, blob: bytes | OpenedBlob) -> np.ndarray:
+        """Reconstruct the field from a cuSZ-i blob (or the
+        :class:`~repro.common.lossless_wrap.OpenedBlob` that
+        :func:`repro.decompress` already unwrapped and parsed)."""
+        nbytes = blob.nbytes if isinstance(blob, OpenedBlob) else len(blob)
         with recorder.capture("decompress", codec=self.name) as cap, \
                 telemetry.span("decompress", codec=self.name,
-                               compressed_nbytes=len(blob)) as root:
+                               compressed_nbytes=nbytes) as root:
             if cap.run_id:
                 root.set(trace_id=cap.trace_id, run_id=cap.run_id)
-            with telemetry.span("lossless", bytes_in=len(blob)) as sp, \
-                    cap.stage("lossless"):
-                inner = unwrap_lossless(blob)
-                sp.set(bytes_out=len(inner))
-            with telemetry.span("container", bytes_in=len(inner)), \
-                    cap.stage("container"):
-                codec, meta, segments = parse_container(inner)
+            if isinstance(blob, OpenedBlob):
+                codec, meta, segments = blob.codec, blob.meta, blob.segments
+                lossless = blob.lossless
+            else:
+                with telemetry.span("lossless", bytes_in=nbytes) as sp, \
+                        cap.stage("lossless"):
+                    inner = unwrap_lossless(blob)
+                    sp.set(bytes_out=len(inner))
+                with telemetry.span("container", bytes_in=len(inner)), \
+                        cap.stage("container"):
+                    codec, meta, segments = parse_container(inner)
+                lossless = frame_codec(blob)
             if codec != self.name:
                 raise CodecError(
                     f"blob codec {codec!r} is not {self.name!r}")
-            shape = tuple(meta["shape"])
-            padded_shape = tuple(meta["padded_shape"])
-            dtype = np.dtype(meta["dtype"])
-            abs_eb = float(meta["abs_eb"])
-            radius = int(meta["radius"])
-            spec = InterpSpec.from_meta(meta["spec"])
-            quantizer = LinearQuantizer(radius, value_dtype=dtype)
-
-            with telemetry.span(
-                    "huffman", bytes_in=len(segments["huffman"])) as sp, \
-                    cap.stage("huffman"):
-                stream = HuffmanStream.from_bytes(segments["huffman"])
-                codes = huffman_decode(stream)
-                sp.set(bytes_out=codes.nbytes)
-            outliers = np.frombuffer(segments["outliers"], dtype=dtype)
-            if outliers.size != int(meta["n_outliers"]):
-                raise CodecError("outlier segment size mismatch")
+            try:
+                shape = tuple(int(n) for n in meta["shape"])
+                padded_shape = tuple(int(n) for n in meta["padded_shape"])
+                dtype = np.dtype(meta["dtype"])
+                abs_eb = float(meta["abs_eb"])
+                radius = int(meta["radius"])
+                n_outliers = int(meta["n_outliers"])
+                spec = InterpSpec.from_meta(meta["spec"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CodecError(f"malformed {self.name} header: {exc!r}")
+            quantizer = LinearQuantizer(
+                radius, value_dtype=dtype,
+                lane_dtype=_lanes_from_meta(meta, dtype))
             anchor_shape = tuple(-(-n // spec.anchor_stride)
                                  for n in padded_shape)
-            anchors = np.frombuffer(segments["anchors"],
+            outlier_seg = _segment(segments, "outliers",
+                                   n_outliers * dtype.itemsize)
+            anchor_seg = _segment(segments, "anchors",
+                                  math.prod(anchor_shape) * dtype.itemsize)
+            huff_seg = _segment(segments, "huffman")
+
+            with telemetry.span(
+                    "huffman", bytes_in=len(huff_seg)) as sp, \
+                    cap.stage("huffman"):
+                stream = HuffmanStream.from_bytes(huff_seg)
+                codes = huffman_decode(stream)
+                sp.set(bytes_out=codes.nbytes)
+            outliers = np.frombuffer(outlier_seg, dtype=dtype)
+            anchors = np.frombuffer(anchor_seg,
                                     dtype=dtype).reshape(anchor_shape)
             with telemetry.span("plan"), cap.stage("plan"):
                 plan = get_plan(padded_shape,
@@ -387,12 +457,13 @@ class CuSZi:
                                          codes, outliers, anchors,
                                          quantizer, plan=plan)
                 sp.set(bytes_out=work.size * dtype.itemsize)
-            out = crop_to_shape(work, shape).astype(dtype)
-            lossless = (blob[5:5 + blob[4]].decode("utf-8", "replace")
-                        if len(blob) > 5 else "none")
+            if work.dtype == dtype and padded_shape == shape:
+                out = work          # the lanes already are the output
+            else:
+                out = crop_to_shape(work, shape).astype(dtype)
             root.set(n_elements=out.size, bytes_out=out.nbytes,
                      lossless=lossless, abs_eb=abs_eb)
-            cap.set(bytes_in=len(blob), bytes_out=out.nbytes,
+            cap.set(bytes_in=nbytes, bytes_out=out.nbytes,
                     n_elements=out.size, shape=list(out.shape),
                     abs_eb=abs_eb, lossless=lossless)
             return out

@@ -35,7 +35,9 @@ class Compressor(Protocol):
         ...
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        """Reconstruct the field from a blob produced by ``compress``."""
+        """Reconstruct the field from a blob produced by ``compress``
+        (or from the :class:`~repro.common.lossless_wrap.OpenedBlob`
+        :func:`decompress_any` made of it)."""
         ...
 
 
@@ -84,8 +86,12 @@ def decompress_any(blob: bytes) -> np.ndarray:
     instance can decode it.
     """
     _ensure_loaded()
-    from repro.common.lossless_wrap import peek_codec
-    codec = peek_codec(blob)
-    if codec not in _REGISTRY:
-        raise ConfigError(f"blob was produced by unknown codec {codec!r}")
-    return _REGISTRY[codec]().decompress(blob)
+    from repro.common.lossless_wrap import open_blob
+    # the codec name sits inside the lossless-wrapped container, so the
+    # frame must be undone to route the blob; the codec then decodes the
+    # opened blob instead of unwrapping and parsing it a second time
+    opened = open_blob(blob)
+    if opened.codec not in _REGISTRY:
+        raise ConfigError(
+            f"blob was produced by unknown codec {opened.codec!r}")
+    return _REGISTRY[opened.codec]().decompress(opened)

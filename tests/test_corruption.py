@@ -74,3 +74,95 @@ class TestCorruptionWithGLE:
             except ReproError:
                 continue
             np.testing.assert_array_equal(out, clean)
+
+
+def _rebuilt(blob: bytes, edit) -> bytes:
+    """``blob`` with its container meta edited and an honest CRC, so only
+    the decoder's own validation stands between it and the bytes."""
+    from repro.common.container import build_container, parse_container
+    from repro.common.lossless_wrap import (frame_codec, unwrap_lossless,
+                                            wrap_lossless)
+    codec, meta, segments = parse_container(unwrap_lossless(blob))
+    edit(meta)
+    return wrap_lossless(build_container(codec, meta, segments),
+                         frame_codec(blob))
+
+
+class TestHostileBytes:
+    """Crafted (not just flipped) bytes must still raise only ReproError."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        import repro
+        return repro.compress(smooth_field((12, 14, 16), seed=102),
+                              eb=1e-3)
+
+    def test_non_utf8_lossless_name(self, blob):
+        import repro
+        bad = bytearray(blob)
+        bad[5] = 0xFF                 # first byte of the codec name
+        with pytest.raises(ReproError):
+            repro.decompress(bytes(bad))
+
+    @pytest.mark.parametrize("field", ["codec", "segment"])
+    def test_non_utf8_container_names(self, field):
+        import struct
+        import zlib
+        from repro.common.container import MAGIC, VERSION, parse_container
+        name = b"\xff\xfe"
+        if field == "codec":
+            body = (struct.pack("<B", 2) + name + struct.pack("<I", 2)
+                    + b"{}" + struct.pack("<H", 0))
+        else:
+            body = (struct.pack("<B", 1) + b"x" + struct.pack("<I", 2)
+                    + b"{}" + struct.pack("<H", 1) + struct.pack("<B", 2)
+                    + name + struct.pack("<Q", 0))
+        inner = (MAGIC + struct.pack("<H", VERSION)
+                 + struct.pack("<I", zlib.crc32(body)) + body)
+        with pytest.raises(ReproError):
+            parse_container(inner)
+
+    @pytest.mark.parametrize("value", [64, 16, "32", 32.0, True, None,
+                                       [32], {"bits": 32}],
+                             ids=["64", "16", "str", "float", "bool",
+                                  "null", "list", "object"])
+    def test_bad_lanes_value(self, blob, value):
+        import repro
+        hostile = _rebuilt(blob, lambda meta: meta.update(lanes=value))
+        with pytest.raises(ReproError):
+            repro.decompress(hostile)
+
+    def test_f32_lanes_on_f64_field_rejected(self):
+        import repro
+        data = smooth_field((10, 12, 14), seed=103).astype(np.float64)
+        blob = repro.compress(data, eb=1e-3)
+        hostile = _rebuilt(blob, lambda meta: meta.update(lanes=32))
+        with pytest.raises(ReproError):
+            repro.decompress(hostile)
+
+    @pytest.mark.parametrize("key", ["shape", "dtype", "spec", "radius"])
+    def test_malformed_header_field(self, blob, key):
+        import repro
+        hostile = _rebuilt(blob, lambda meta: meta.update({key: "junk"}))
+        with pytest.raises(ReproError):
+            repro.decompress(hostile)
+
+    @pytest.mark.parametrize("edit", ["short-anchors", "odd-outliers",
+                                      "no-huffman"])
+    def test_inconsistent_segments(self, blob, edit):
+        import repro
+        from repro.common.container import build_container, parse_container
+        from repro.common.lossless_wrap import (frame_codec,
+                                                unwrap_lossless,
+                                                wrap_lossless)
+        codec, meta, segments = parse_container(unwrap_lossless(blob))
+        if edit == "short-anchors":
+            segments["anchors"] = segments["anchors"][:-4]
+        elif edit == "odd-outliers":
+            segments["outliers"] += b"\x00"
+        else:
+            del segments["huffman"]
+        hostile = wrap_lossless(build_container(codec, meta, segments),
+                                frame_codec(blob))
+        with pytest.raises(ReproError):
+            repro.decompress(hostile)

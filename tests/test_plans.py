@@ -34,6 +34,11 @@ def _field(shape, seed=0):
 def _assert_equivalent(shape, spec, seed=0, quantizer=None):
     data = _field(shape, seed)
     eb = 1e-3 * float(data.max() - data.min())
+    _assert_equivalent_data(data, spec, eb, quantizer)
+
+
+def _assert_equivalent_data(data, spec, eb, quantizer):
+    shape = data.shape
     ref = interp_compress(data, spec, eb, quantizer, compiled=False)
     cmp_ = interp_compress(data, spec, eb, quantizer, compiled=True)
     assert ref.codes.tobytes() == cmp_.codes.tobytes()
@@ -49,29 +54,54 @@ def _assert_equivalent(shape, spec, seed=0, quantizer=None):
     assert dref.tobytes() == ref.reconstructed.tobytes()
 
 
+F32_LANES = LinearQuantizer(value_dtype=np.float32, lane_dtype=np.float32)
+
+STREAM_CASES = pytest.mark.parametrize("shape,spec", [
+    ((257,), InterpSpec(anchor_stride=64)),
+    ((101,), InterpSpec(anchor_stride=16)),
+    ((2049,), InterpSpec(anchor_stride=512, window_shape=(2049,))),
+    ((65, 33), InterpSpec(anchor_stride=16)),
+    ((67, 129), InterpSpec(anchor_stride=16, window_shape=(17, 65))),
+    ((5, 7), InterpSpec(anchor_stride=16)),       # smaller than stride
+    ((33, 17, 25), InterpSpec(anchor_stride=8)),
+    ((64, 64, 64), InterpSpec(anchor_stride=8,
+                              window_shape=(9, 9, 33))),
+    ((40, 28, 36), InterpSpec(anchor_stride=8,
+                              cubic_variant=(CUBIC_NAT,) * 3)),
+    ((32, 48, 20), InterpSpec(anchor_stride=8, axis_order=(2, 0, 1))),
+    ((20, 20, 20), InterpSpec(anchor_stride=32,
+                              window_shape=(9, 9, 9))),
+], ids=["1d", "1d-odd", "1d-window", "2d", "2d-window", "2d-tiny",
+        "3d-odd", "3d-window", "3d-natural", "3d-axis-order",
+        "3d-nearest-classes"])
+
+
 class TestBitExactEquivalence:
     """Compiled vs reference: every stream byte-identical."""
 
-    @pytest.mark.parametrize("shape,spec", [
-        ((257,), InterpSpec(anchor_stride=64)),
-        ((101,), InterpSpec(anchor_stride=16)),
-        ((2049,), InterpSpec(anchor_stride=512, window_shape=(2049,))),
-        ((65, 33), InterpSpec(anchor_stride=16)),
-        ((67, 129), InterpSpec(anchor_stride=16, window_shape=(17, 65))),
-        ((5, 7), InterpSpec(anchor_stride=16)),       # smaller than stride
-        ((33, 17, 25), InterpSpec(anchor_stride=8)),
-        ((64, 64, 64), InterpSpec(anchor_stride=8,
-                                  window_shape=(9, 9, 33))),
-        ((40, 28, 36), InterpSpec(anchor_stride=8,
-                                  cubic_variant=(CUBIC_NAT,) * 3)),
-        ((32, 48, 20), InterpSpec(anchor_stride=8, axis_order=(2, 0, 1))),
-        ((20, 20, 20), InterpSpec(anchor_stride=32,
-                                  window_shape=(9, 9, 9))),
-    ], ids=["1d", "1d-odd", "1d-window", "2d", "2d-window", "2d-tiny",
-            "3d-odd", "3d-window", "3d-natural", "3d-axis-order",
-            "3d-nearest-classes"])
+    @STREAM_CASES
     def test_streams_identical(self, shape, spec):
         _assert_equivalent(shape, spec)
+
+    @STREAM_CASES
+    def test_streams_identical_f32_lanes(self, shape, spec):
+        # float32 lanes: the natural-cubic weights (-3/40, 23/40) are not
+        # float32 numbers, so both paths must round them the same way
+        _assert_equivalent(shape, spec, quantizer=F32_LANES)
+
+    def test_f32_lanes_work_in_float32(self):
+        data = _field((33, 17, 25))
+        res = interp_compress(data, InterpSpec(anchor_stride=8), 1e-3,
+                              F32_LANES)
+        assert res.reconstructed.dtype == np.float32
+        assert np.abs(res.reconstructed - data).max() <= 1e-3
+
+    def test_identical_with_outliers_f32_lanes(self):
+        shape = (48, 40, 32)
+        data = rough_field(shape)
+        eb = 1e-4 * float(data.max() - data.min())
+        q = LinearQuantizer(radius=8, lane_dtype=np.float32)
+        _assert_equivalent_data(data, InterpSpec(anchor_stride=8), eb, q)
 
     def test_identical_with_outliers(self):
         # small radius forces the outlier path through both traversals
@@ -119,6 +149,18 @@ class TestBitExactEquivalence:
         spec = InterpSpec(anchor_stride=stride,
                           window_shape=(9, 17) if windowed else None)
         _assert_equivalent((h, w), spec, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.integers(4, 40), w=st.integers(4, 40),
+           stride=st.sampled_from([4, 8]), windowed=st.booleans(),
+           natural=st.booleans(), seed=st.integers(0, 3))
+    def test_property_2d_f32_lanes(self, h, w, stride, windowed, natural,
+                                   seed):
+        spec = InterpSpec(anchor_stride=stride,
+                          window_shape=(9, 17) if windowed else None,
+                          cubic_variant=(CUBIC_NAT if natural
+                                         else CUBIC_NAK,) * 2)
+        _assert_equivalent((h, w), spec, seed, quantizer=F32_LANES)
 
 
 class TestPlanCache:
@@ -257,8 +299,9 @@ class TestCorruptStreams:
         codes = np.zeros(5, dtype=np.uint32)     # five outlier codes
         preds = np.zeros(5)
         with pytest.raises(CorruptStreamError):
-            q.dequantize(codes, preds, 1e-3,
-                         np.zeros(2, dtype=np.float32), 0)
+            q.reconstruct_into(codes, preds, 1e-3,
+                               np.zeros(2, dtype=np.float32), 0,
+                               np.empty(5))
 
 
 class TestNonFiniteGuards:

@@ -26,8 +26,8 @@ class TestBasics:
         with pytest.raises(ConfigError):
             q.quantize(np.zeros(4), np.zeros(4), 0.0)
         with pytest.raises(ConfigError):
-            q.dequantize(np.zeros(4, np.uint32), np.zeros(4), -1.0,
-                         np.zeros(0, np.float32), 0)
+            q.reconstruct_into(np.zeros(4, np.uint32), np.zeros(4), -1.0,
+                               np.zeros(0, np.float32), 0, np.empty(4))
 
 
 class TestQuantizeDequantize:
@@ -53,8 +53,9 @@ class TestQuantizeDequantize:
         preds = vals + rng.normal(0, 0.3, 2000)
         eb = 0.01
         res = q.quantize(vals, preds, eb)
-        recon, cursor = q.dequantize(res.codes, preds, eb,
-                                     res.outlier_values, 0)
+        recon = np.empty(vals.size)
+        cursor = q.reconstruct_into(res.codes, preds, eb,
+                                    res.outlier_values, 0, recon)
         np.testing.assert_array_equal(recon, res.reconstructed)
         assert cursor == res.n_outliers
 
@@ -72,8 +73,9 @@ class TestQuantizeDequantize:
         q = LinearQuantizer(4)
         vals = np.array([12345.678])
         res = q.quantize(vals, np.zeros(1), 1e-6)
-        recon, _ = q.dequantize(res.codes, np.zeros(1), 1e-6,
-                                res.outlier_values, 0)
+        recon = np.empty(1)
+        q.reconstruct_into(res.codes, np.zeros(1), 1e-6,
+                           res.outlier_values, 0, recon)
         assert np.float32(recon[0]) == np.float32(12345.678)
 
     def test_outlier_cursor_advances_across_passes(self, rng):
@@ -85,9 +87,11 @@ class TestQuantizeDequantize:
         res2 = q.quantize(vals[25:], preds[25:], eb)
         all_outliers = np.concatenate([res1.outlier_values,
                                        res2.outlier_values])
-        r1, cur = q.dequantize(res1.codes, preds[:25], eb, all_outliers, 0)
-        r2, cur = q.dequantize(res2.codes, preds[25:], eb, all_outliers,
-                               cur)
+        r1, r2 = np.empty(25), np.empty(25)
+        cur = q.reconstruct_into(res1.codes, preds[:25], eb, all_outliers,
+                                 0, r1)
+        cur = q.reconstruct_into(res2.codes, preds[25:], eb, all_outliers,
+                                 cur, r2)
         assert cur == all_outliers.size
         np.testing.assert_array_equal(r1, res1.reconstructed)
         np.testing.assert_array_equal(r2, res2.reconstructed)

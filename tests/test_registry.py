@@ -63,6 +63,31 @@ class TestPublicAPI:
         with pytest.raises(Exception):
             decompress(b"RPW1\x03gle but not really")
 
+    @pytest.mark.parametrize("codec", ["cuszi", "cusz", "sz3", "cuzfp"])
+    def test_decompress_opens_blob_once(self, codec, monkeypatch):
+        # routing needs the codec name from inside the lossless frame; the
+        # codec must decode the opened blob, not unwrap and parse again
+        import repro.common.lossless_wrap as lwrap
+        import repro.core.pipeline as pipe
+        calls = {"unwrap": 0, "parse": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (lwrap, pipe):
+            monkeypatch.setattr(mod, "unwrap_lossless",
+                                counting(mod.unwrap_lossless, "unwrap"))
+            monkeypatch.setattr(mod, "parse_container",
+                                counting(mod.parse_container, "parse"))
+        data = smooth_field((12, 12, 12), seed=54)
+        kwargs = {"rate": 8.0} if codec == "cuzfp" else {"eb": 1e-2}
+        blob = compress(data, codec=codec, **kwargs)
+        decompress(blob)
+        assert calls == {"unwrap": 1, "parse": 1}
+
     def test_kwargs_forwarded(self):
         data = smooth_field((24, 24, 24), seed=53)
         small = compress(data, codec="cuszi", eb=1e-1, mode="rel")
