@@ -6,11 +6,19 @@ reconstruction — checked here for every codec and several corruption
 positions.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+import repro
 from conftest import smooth_field
+from repro.common.container import (MAGIC, VERSION, build_container,
+                                    parse_container)
 from repro.common.errors import ReproError
+from repro.common.lossless_wrap import (frame_codec, unwrap_lossless,
+                                        wrap_lossless)
 from repro.registry import available, get_compressor
 
 
@@ -77,13 +85,10 @@ class TestCorruptionWithGLE:
 
 
 def _rebuilt(blob: bytes, edit) -> bytes:
-    """``blob`` with its container meta edited and an honest CRC, so only
+    """``blob`` after ``edit(meta, segments)``, with an honest CRC, so only
     the decoder's own validation stands between it and the bytes."""
-    from repro.common.container import build_container, parse_container
-    from repro.common.lossless_wrap import (frame_codec, unwrap_lossless,
-                                            wrap_lossless)
     codec, meta, segments = parse_container(unwrap_lossless(blob))
-    edit(meta)
+    edit(meta, segments)
     return wrap_lossless(build_container(codec, meta, segments),
                          frame_codec(blob))
 
@@ -93,12 +98,10 @@ class TestHostileBytes:
 
     @pytest.fixture(scope="class")
     def blob(self):
-        import repro
         return repro.compress(smooth_field((12, 14, 16), seed=102),
                               eb=1e-3)
 
     def test_non_utf8_lossless_name(self, blob):
-        import repro
         bad = bytearray(blob)
         bad[5] = 0xFF                 # first byte of the codec name
         with pytest.raises(ReproError):
@@ -106,9 +109,6 @@ class TestHostileBytes:
 
     @pytest.mark.parametrize("field", ["codec", "segment"])
     def test_non_utf8_container_names(self, field):
-        import struct
-        import zlib
-        from repro.common.container import MAGIC, VERSION, parse_container
         name = b"\xff\xfe"
         if field == "codec":
             body = (struct.pack("<B", 2) + name + struct.pack("<I", 2)
@@ -127,42 +127,33 @@ class TestHostileBytes:
                              ids=["64", "16", "str", "float", "bool",
                                   "null", "list", "object"])
     def test_bad_lanes_value(self, blob, value):
-        import repro
-        hostile = _rebuilt(blob, lambda meta: meta.update(lanes=value))
+        hostile = _rebuilt(blob, lambda meta, _s: meta.update(lanes=value))
         with pytest.raises(ReproError):
             repro.decompress(hostile)
 
     def test_f32_lanes_on_f64_field_rejected(self):
-        import repro
         data = smooth_field((10, 12, 14), seed=103).astype(np.float64)
         blob = repro.compress(data, eb=1e-3)
-        hostile = _rebuilt(blob, lambda meta: meta.update(lanes=32))
+        hostile = _rebuilt(blob, lambda meta, _s: meta.update(lanes=32))
         with pytest.raises(ReproError):
             repro.decompress(hostile)
 
     @pytest.mark.parametrize("key", ["shape", "dtype", "spec", "radius"])
     def test_malformed_header_field(self, blob, key):
-        import repro
-        hostile = _rebuilt(blob, lambda meta: meta.update({key: "junk"}))
+        hostile = _rebuilt(blob,
+                           lambda meta, _s: meta.update({key: "junk"}))
         with pytest.raises(ReproError):
             repro.decompress(hostile)
 
     @pytest.mark.parametrize("edit", ["short-anchors", "odd-outliers",
                                       "no-huffman"])
     def test_inconsistent_segments(self, blob, edit):
-        import repro
-        from repro.common.container import build_container, parse_container
-        from repro.common.lossless_wrap import (frame_codec,
-                                                unwrap_lossless,
-                                                wrap_lossless)
-        codec, meta, segments = parse_container(unwrap_lossless(blob))
-        if edit == "short-anchors":
-            segments["anchors"] = segments["anchors"][:-4]
-        elif edit == "odd-outliers":
-            segments["outliers"] += b"\x00"
-        else:
-            del segments["huffman"]
-        hostile = wrap_lossless(build_container(codec, meta, segments),
-                                frame_codec(blob))
+        def apply(_meta, segments):
+            if edit == "short-anchors":
+                segments["anchors"] = segments["anchors"][:-4]
+            elif edit == "odd-outliers":
+                segments["outliers"] += b"\x00"
+            else:
+                del segments["huffman"]
         with pytest.raises(ReproError):
-            repro.decompress(hostile)
+            repro.decompress(_rebuilt(blob, apply))
